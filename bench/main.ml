@@ -788,20 +788,24 @@ let smoke ?json ?jobs ?(shards = 4) ?(precompile = true) () =
     server_result.Server.batches_coalesced server_result.Server.batch_fill
     server_result.Server.queue_hwm server_result.Server.requests_served
     server_result.Server.clients_connected server_accuracy;
-  (* The sharded-store workload: a 512-row store partitioned across
-     [shards] private simulators (default 4), queried through the
-     fan-out / top-k merge path, with online mutations mid-run —
-     deletes, slot-reusing re-inserts and an in-place update. Every
-     simulated metric below is deterministic for a fixed shard count;
+  (* The sharded-store workloads: a store partitioned across [shards]
+     private simulators (default 4), queried through the fan-out /
+     top-k merge path, with online mutations mid-run — deletes,
+     slot-reusing re-inserts and an in-place update. Every simulated
+     metric below is deterministic for a fixed shard count;
      results_digest (the bit pattern of every merged distance and
      external id) is additionally shard- and jobs-invariant, which the
-     CI shard-determinism leg holds shards 1 vs 4 to. *)
-  let sharded_store, sharded_accuracy, sharded_digest =
-    let q = 8 and d = 64 and k = 3 and rows = 512 in
+     CI shard-determinism leg holds shards 1 vs 4 to. Two sizes: 512
+     rows x 64 dims, and 4096 rows x [d] dims, the scale at which the
+     sharded path's per-query allocation shows (1,024 subarrays per
+     shard at d = 1024). *)
+  let sharded_run ~name ~rows ~d ~seed ~n_batches ~mutated =
+    let q = 8 and k = 3 in
     let spec = Archspec.Spec.square 32 Archspec.Spec.Base in
+    let n_queries = q * n_batches in
     let sdata =
-      Workloads.Hdc.synthetic ~seed:23 ~noise:0.05 ~dims:d ~n_classes:rows
-        ~n_queries:48 ~bits:1 ()
+      Workloads.Hdc.synthetic ~seed ~noise:0.05 ~dims:d ~n_classes:rows
+        ~n_queries ~bits:1 ()
     in
     let store =
       Serve.Sharded_store.create ~config ~spec ~q ~d ~k ~shards
@@ -831,35 +835,46 @@ let smoke ?json ?jobs ?(shards = 4) ?(precompile = true) () =
             r.Serve.Sharded_store.values.(j))
         r.Serve.Sharded_store.indices
     in
-    for i = 0 to 2 do
+    let half = n_batches / 2 in
+    for i = 0 to half - 1 do
       serve_batch i
     done;
-    (* online mutations: free three slots, re-insert the same rows (the
+    (* online mutations: free some slots, re-insert the same rows (the
        FIFO allocator hands back the just-freed slots under fresh
        external ids), rewrite one row in place — then keep serving *)
+    let deleted, updated = mutated in
     List.iter
       (fun id ->
         Serve.Sharded_store.delete store id;
         expected.(id) <- Serve.Sharded_store.insert store sdata.stored.(id))
-      [ 7; 129; 350 ];
-    Serve.Sharded_store.update store 200 sdata.stored.(200);
-    for i = 3 to 5 do
+      deleted;
+    Serve.Sharded_store.update store updated sdata.stored.(updated);
+    for i = half to n_batches - 1 do
       serve_batch i
     done;
-    ( store,
-      float_of_int !correct /. 48.,
-      Digest.to_hex (Digest.string (Buffer.contents buf)) )
+    let accuracy = float_of_int !correct /. float_of_int n_queries in
+    let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+    let st = Serve.Sharded_store.stats store in
+    Printf.printf
+      "%s: %d shards, %d rows live (%d slots free), %d batches, latency \
+       %s, energy %s, accuracy %.4f, digest %s, GC %.0f minor words/query \
+       (steady state)\n"
+      name st.Serve.Sharded_store.shards st.rows_stored st.rows_free
+      st.session.Serve.Session.batches
+      (C4cam.Report.si_time st.session.Serve.Session.sim_latency_s)
+      (C4cam.Report.si_energy st.session.Serve.Session.sim_energy_j)
+      accuracy (String.sub digest 0 12)
+      st.session.Serve.Session.alloc_minor_words_per_query;
+    (name, store, st, accuracy, digest)
   in
-  let sharded_stats = Serve.Sharded_store.stats sharded_store in
-  Printf.printf
-    "serve-sharded-hdc-32x32-base: %d shards, %d rows live (%d slots free), \
-     %d batches, latency %s, energy %s, accuracy %.4f, digest %s\n"
-    sharded_stats.Serve.Sharded_store.shards sharded_stats.rows_stored
-    sharded_stats.rows_free sharded_stats.session.Serve.Session.batches
-    (C4cam.Report.si_time sharded_stats.session.Serve.Session.sim_latency_s)
-    (C4cam.Report.si_energy sharded_stats.session.Serve.Session.sim_energy_j)
-    sharded_accuracy
-    (String.sub sharded_digest 0 12);
+  let sharded_small =
+    sharded_run ~name:"serve-sharded-hdc-32x32-base" ~rows:512 ~d:64
+      ~seed:23 ~n_batches:6 ~mutated:([ 7; 129; 350 ], 200)
+  in
+  let sharded_large =
+    sharded_run ~name:"serve-sharded-hdc-4096-32x32-base" ~rows:4096
+      ~d:1024 ~seed:29 ~n_batches:4 ~mutated:([ 11; 2050; 4000 ], 1500)
+  in
   (* The MLP serving workload (EXPERIMENTS.md X8): the layer-2
      prototype-search kernel behind one persistent session, 3 batches
      of 16 pre-encoded layer-1 codes — the prototype writes are charged
@@ -1198,21 +1213,20 @@ let smoke ?json ?jobs ?(shards = 4) ?(precompile = true) () =
               Instrument.Json.Float ss.alloc_minor_words_per_query );
           ]
       in
-      (* The sharded-store workload: simulated metrics are exact-gated
+      (* The sharded-store workloads: simulated metrics are exact-gated
          for a fixed shard count (shards itself and rows_stored are
          exact); results_digest is shard- and jobs-invariant, the key
          the shard-determinism CI leg compares across configurations.
          The fan-out/merge wall clocks are stripped by the determinism
          gate, and alloc_w/q is only gated between runs with the same
          shard count (the merge tree's footprint scales with it). *)
-      let sharded_json =
-        let st = sharded_stats in
+      let sharded_json (name, sharded_store, st, sharded_accuracy, sharded_digest)
+          =
         let dev = Serve.Sharded_store.device_stats sharded_store in
         let ss = st.Serve.Sharded_store.session in
         Instrument.Json.Assoc
           [
-            ( "name",
-              Instrument.Json.String "serve-sharded-hdc-32x32-base" );
+            ("name", Instrument.Json.String name);
             ( "config",
               Instrument.Json.String
                 (C4cam.Dse.config_name
@@ -1448,14 +1462,9 @@ let smoke ?json ?jobs ?(shards = 4) ?(precompile = true) () =
             ( "workloads",
               Instrument.Json.List
                 (List.map workload_json workloads
-                @ [
-                    serve_json;
-                    server_json;
-                    sharded_json;
-                    mlp_serve_json;
-                    range_json;
-                    place_json;
-                  ]) );
+                @ [ serve_json; server_json ]
+                @ List.map sharded_json [ sharded_small; sharded_large ]
+                @ [ mlp_serve_json; range_json; place_json ]) );
             ("compile", Instrument.Profile.to_json profile);
           ]
       in

@@ -656,6 +656,31 @@ let server_config_args =
   Term.(
     const mk $ batch_rows_arg $ window_arg $ queue_cap_arg $ fail_fast_arg)
 
+(* Enqueue every batch on a server created paused, round-robin over
+   [handles], then start the scheduler; returns (request index, ticket)
+   pairs. With every request queued before the scheduler runs, the
+   coalescing is deterministic. Batches that outgrow the queue cap
+   cannot all wait on a scheduler only this caller can resume:
+   [Server.submit] raises [Paused_full] instead, so the scheduler
+   starts early and the batch is submitted again, blocking for room. *)
+let submit_all server handles batches =
+  let clients = Array.length handles in
+  let tickets =
+    List.mapi
+      (fun i batch ->
+        let c = handles.(i mod clients) in
+        let tk =
+          try Server.submit c batch
+          with Server.Paused_full ->
+            Server.resume server;
+            Server.submit c batch
+        in
+        (i, tk))
+      batches
+  in
+  Server.resume server;
+  tickets
+
 let print_server_stats (st : Server.stats) =
   Printf.printf
     "server   : %d micro-batches, fill %.2f queries/batch, queue \
@@ -830,13 +855,7 @@ let serve_cmd =
               let handles =
                 Array.init clients (fun _ -> Server.connect server)
               in
-              let tickets =
-                List.mapi
-                  (fun i batch ->
-                    (i, Server.submit handles.(i mod clients) batch))
-                  query_batches
-              in
-              Server.resume server;
+              let tickets = submit_all server handles query_batches in
               List.iter
                 (fun (i, tk) ->
                   let r = Server.await tk in
@@ -904,13 +923,7 @@ let serve_cmd =
                let handles =
                  Array.init clients (fun _ -> Server.connect server)
                in
-               let tickets =
-                 List.mapi
-                   (fun i batch ->
-                     (i, Server.submit handles.(i mod clients) batch))
-                   query_batches
-               in
-               Server.resume server;
+               let tickets = submit_all server handles query_batches in
                List.iter
                  (fun (i, tk) ->
                    let r = Server.await tk in
@@ -1041,13 +1054,7 @@ let serve_cmd =
            let handles =
              Array.init clients (fun _ -> Server.connect server)
            in
-           let tickets =
-             List.mapi
-               (fun i batch ->
-                 (i, Server.submit handles.(i mod clients) batch))
-               query_batches
-           in
-           Server.resume server;
+           let tickets = submit_all server handles query_batches in
            List.iter
              (fun (i, tk) ->
                let r = Server.await tk in

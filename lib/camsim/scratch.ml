@@ -7,17 +7,23 @@
    domain that dispatches it, and the parallel row tiles only write
    per-query slots of arrays captured from that arena. *)
 
-type t = {
-  (* packed-query arena: flat binary/nibble packs for one query batch,
-     keyed on the batch's physical identity plus the subarray width
-     (the single-slot semantics of the former Subarray pack cache) *)
-  mutable sq_queries : float array array;
-  mutable sq_cols : int;
+(* Packed forms of one query batch at one subarray width: flat
+   binary/nibble packs plus per-query "packed" flags. Keyed on the
+   batch's physical identity plus the width, so a record describes
+   whatever batch it was last refreshed for. *)
+type packs = {
+  mutable p_queries : float array array;
+  mutable p_cols : int;
   mutable nq : Kernel.flat; (* Array.length queries x fnwords_for cols *)
   mutable nq_has : Bytes.t; (* '\001' when the query packed *)
   mutable bq : Kernel.flat;
   mutable bq_has : Bytes.t;
   mutable bq_filled : bool; (* binary side is packed lazily *)
+}
+
+type t = {
+  (* fallback pack slot for searches whose caller owns no packs *)
+  slot : packs;
   (* per-query kernel-dispatch tally slots, zeroed on acquire *)
   mutable kb : int array;
   mutable kn : int array;
@@ -31,15 +37,20 @@ type t = {
   mutable sel_indices : int array array;
 }
 
-let create () =
+let create_packs () =
   {
-    sq_queries = [||];
-    sq_cols = -1;
+    p_queries = [||];
+    p_cols = -1;
     nq = [||];
     nq_has = Bytes.empty;
     bq = [||];
     bq_has = Bytes.empty;
     bq_filled = false;
+  }
+
+let create () =
+  {
+    slot = create_packs ();
     kb = [||];
     kn = [||];
     kg = [||];
@@ -56,44 +67,48 @@ let get () = Domain.DLS.get key
 
 let grow_ints a n = if Array.length a >= n then a else Array.make n 0
 
-(* Ensure the nibble packs describe [queries] at width [cols]; a batch
-   searched against T row tiles packs once and hits on tiles 2..T. *)
-let packs_for ~cols queries =
-  let t = get () in
-  if not (t.sq_queries == queries && t.sq_cols = cols) then begin
+(* Make [p] describe [queries] at width [cols]: a hit when it already
+   does (same batch, physically, and same width), otherwise the nibble
+   side is repacked and the binary side marked unfilled. *)
+let refresh p ~cols queries =
+  if not (p.p_queries == queries && p.p_cols = cols) then begin
     let q = Array.length queries in
     let fnw = Kernel.fnwords_for cols in
-    t.nq <- grow_ints t.nq (q * fnw);
-    t.bq <- grow_ints t.bq (q * Kernel.fbwords_for cols);
-    if Bytes.length t.nq_has < q then begin
-      t.nq_has <- Bytes.make q '\000';
-      t.bq_has <- Bytes.make q '\000'
+    p.nq <- grow_ints p.nq (q * fnw);
+    p.bq <- grow_ints p.bq (q * Kernel.fbwords_for cols);
+    if Bytes.length p.nq_has < q then begin
+      p.nq_has <- Bytes.make q '\000';
+      p.bq_has <- Bytes.make q '\000'
     end;
     for qi = 0 to q - 1 do
-      Bytes.unsafe_set t.nq_has qi
-        (if Kernel.pack_nibble_at ~cols queries.(qi) t.nq ~off:(qi * fnw)
+      Bytes.unsafe_set p.nq_has qi
+        (if Kernel.pack_nibble_at ~cols queries.(qi) p.nq ~off:(qi * fnw)
          then '\001'
          else '\000')
     done;
-    t.bq_filled <- false;
-    t.sq_queries <- queries;
-    t.sq_cols <- cols
-  end;
-  t
+    p.bq_filled <- false;
+    p.p_queries <- queries;
+    p.p_cols <- cols
+  end
+
+let packs_for ~cols queries =
+  let p = (get ()).slot in
+  refresh p ~cols queries;
+  p
 
 (* Fill the binary packs for the current batch; a batch searched only
    against nibble windows never pays for them. *)
-let ensure_binary t =
-  if not t.bq_filled then begin
-    let queries = t.sq_queries and cols = t.sq_cols in
+let ensure_binary p =
+  if not p.bq_filled then begin
+    let queries = p.p_queries and cols = p.p_cols in
     let fbw = Kernel.fbwords_for cols in
     for qi = 0 to Array.length queries - 1 do
-      Bytes.unsafe_set t.bq_has qi
-        (if Kernel.pack_binary_at ~cols queries.(qi) t.bq ~off:(qi * fbw)
+      Bytes.unsafe_set p.bq_has qi
+        (if Kernel.pack_binary_at ~cols queries.(qi) p.bq ~off:(qi * fbw)
          then '\001'
          else '\000')
     done;
-    t.bq_filled <- true
+    p.bq_filled <- true
   end
 
 (* Zeroed per-query dispatch counters of at least [n] slots. *)

@@ -10,14 +10,25 @@
     value computed through an arena is identical to a fresh-allocation
     run. *)
 
-type t = {
-  mutable sq_queries : float array array;
-  mutable sq_cols : int;
+type packs = {
+  mutable p_queries : float array array;
+  mutable p_cols : int;
   mutable nq : Kernel.flat;
   mutable nq_has : Bytes.t;
   mutable bq : Kernel.flat;
   mutable bq_has : Bytes.t;
   mutable bq_filled : bool;
+}
+(** Packed forms of one query batch at one subarray width: flat nibble
+    and binary packs ([nq]/[bq], one [fnwords_for]/[fbwords_for] run
+    per query) with per-query flags ([nq_has]/[bq_has] = ['\001'] when
+    the query packed). Keyed on the batch's physical identity plus the
+    width. The owner of a query batch — the interpreter's query-row
+    cache entry — keeps one record per batch, so a batch searched by
+    many tiles is packed once per refill of its rows. *)
+
+type t = {
+  slot : packs;
   mutable kb : int array;
   mutable kn : int array;
   mutable kg : int array;
@@ -32,16 +43,22 @@ type t = {
 val get : unit -> t
 (** The calling domain's arena record. *)
 
-val packs_for : cols:int -> float array array -> t
-(** Arena with [nq]/[nq_has] describing this query batch at width
-    [cols]. Keyed on the batch's physical identity plus [cols] (the
-    single-slot semantics of the former per-domain pack cache): a
-    partitioned search over T row tiles packs the batch once. The
-    binary side is filled lazily by {!ensure_binary}. *)
+val create_packs : unit -> packs
+(** An empty pack record; the first {!refresh} fills it. *)
 
-val ensure_binary : t -> unit
-(** Fill [bq]/[bq_has] for the batch currently described by the
-    arena. *)
+val refresh : packs -> cols:int -> float array array -> unit
+(** Make the record describe this query batch at width [cols]: nothing
+    to do when it already does (same batch, physically, and same
+    width), otherwise the nibble side is repacked and the binary side
+    left for {!ensure_binary}. *)
+
+val packs_for : cols:int -> float array array -> packs
+(** The domain's single fallback slot, refreshed for this batch — for
+    searches whose caller owns no packs. A hit only when consecutive
+    searches pass the same batch. *)
+
+val ensure_binary : packs -> unit
+(** Fill [bq]/[bq_has] for the batch the record currently describes. *)
 
 val counters : t -> n:int -> unit
 (** Zero the first [n] slots of [kb]/[kn]/[kg]/[ke], growing them as

@@ -13,7 +13,14 @@ type node =
 (* The structural ops a serving session records on its first execution
    and replays on every later one. Write data is the pre-defect payload
    (deep-copied), so a replay can tell a genuinely changed row from the
-   same row arriving again. *)
+   same row arriving again.
+
+   A write replayed through [write_view] also remembers the view it last
+   compared against [w_data] — the backing's write generations, the
+   clock they read then, and the stride geometry. While no generation
+   in the window has moved since, the view still equals [w_data] and
+   the compare can be skipped ([w_gen == Writegen.none] means no such
+   memo). *)
 type serve_event =
   | Ev_alloc of id
   | Ev_write of {
@@ -21,6 +28,11 @@ type serve_event =
       w_row_offset : int;
       w_data : float array array;
       w_care : bool array array option;
+      mutable w_gen : Writegen.t;
+      mutable w_seen : int;
+      mutable w_off : int;
+      mutable w_rs : int;
+      mutable w_cs : int;
     }
   | Ev_write_range of {
       r_id : id;
@@ -274,6 +286,8 @@ let replay_write t id ~row_offset ?care data =
     when w.w_id = id
          && w.w_row_offset = row_offset
          && Array.length w.w_data = Array.length data ->
+      (* this path may rewrite [w_data]: drop the view memo *)
+      w.w_gen <- Writegen.none;
       let n = Array.length data in
       let care_row (c : bool array array option) i =
         match c with Some c -> Some c.(i) | None -> None
@@ -322,6 +336,11 @@ let write t id ~row_offset data =
                w_row_offset = row_offset;
                w_data = Array.map Array.copy data;
                w_care = None;
+               w_gen = Writegen.none;
+               w_seen = 0;
+               w_off = 0;
+               w_rs = 0;
+               w_cs = 0;
              })
     | Oneshot | Replaying _ -> ());
     perform_write t id ~row_offset data
@@ -339,6 +358,11 @@ let write_ternary t id ~row_offset ~care data =
                w_row_offset = row_offset;
                w_data = Array.map Array.copy data;
                w_care = Some (Array.map Array.copy care);
+               w_gen = Writegen.none;
+               w_seen = 0;
+               w_off = 0;
+               w_rs = 0;
+               w_cs = 0;
              })
     | Oneshot | Replaying _ -> ());
     perform_write t id ~row_offset ~care data
@@ -416,67 +440,111 @@ let write_range t id ~row_offset ~lo ~hi =
    recording log and the defect injector take row arrays — but a
    replayed unchanged write, the steady state of a serving session,
    compares elements straight out of the backing and allocates
-   nothing: a closure-valued view would box every float it returns. *)
-let replay_write_view t id ~row_offset ~rows ~cols data ~off ~rs ~cs =
+   nothing: a closure-valued view would box every float it returns —
+   or, given the backing's write generations, skips the compare
+   altogether. *)
+
+(* Whether view row [i] differs from the recorded row [wdata.(i)]
+   ([always] when a recorded care mask forces a rewrite). Element
+   compares use [Float.compare]: like the polymorphic structural
+   compare of [replay_write] — and unlike [<>] — it treats two nans as
+   equal, so don't-care nan payloads don't force a rewrite every
+   batch. A top-level loop rather than a closure, so the steady-state
+   compare allocates nothing. *)
+let view_row_changed ~always (wdata : float array array) (data : float array)
+    ~off ~rs ~cols ~cs i =
+  always
+  ||
+  let wr = wdata.(i) in
+  Array.length wr <> cols
+  ||
+  let base = off + (i * rs) in
+  let j = ref 0 in
+  while
+    !j < cols
+    && Float.compare (Array.unsafe_get wr !j)
+         (Array.unsafe_get data (base + (!j * cs)))
+       = 0
+  do
+    incr j
+  done;
+  !j < cols
+
+let materialize_view (data : float array) ~off ~rs ~cols ~cs i len =
+  Array.init len (fun r ->
+      let base = off + ((i + r) * rs) in
+      Array.init cols (fun j -> data.(base + (j * cs))))
+
+let replay_write_view ?gen t id ~row_offset ~rows ~cols data ~off ~rs ~cs =
   match next_event t with
   | Ev_write w
     when w.w_id = id
          && w.w_row_offset = row_offset
          && Array.length w.w_data = rows ->
-      (* Element compares use [Float.compare]: like the polymorphic
-         structural compare of [replay_write] — and unlike [<>] — it
-         treats two nans as equal, so don't-care nan payloads don't
-         force a rewrite every batch. A recorded care mask means the
-         original would see [Some _ <> None] and rewrite the row, so
-         mirror that. *)
-      let row_changed i =
-        w.w_care <> None
-        ||
-        let wr = w.w_data.(i) in
-        Array.length wr <> cols
-        ||
-        let base = off + (i * rs) in
-        let rec go j =
-          j < cols
-          && (Float.compare (Array.unsafe_get wr j)
-                (Array.unsafe_get data (base + (j * cs)))
-              <> 0
-             || go (j + 1))
-        in
-        go 0
+      (* the flat extent of the window, for the generation check *)
+      let lo = off and hi = off + ((rows - 1) * rs) + ((cols - 1) * cs) in
+      let unchanged =
+        match gen with
+        | Some g ->
+            (* same generations, backing and view geometry as the
+               memo (a memo leaves every [w_data] row [cols] wide) *)
+            w.w_gen == g
+            && Writegen.backing g == data
+            && w.w_off = off && w.w_rs = rs && w.w_cs = cs
+            && (rows = 0 || Array.length w.w_data.(0) = cols)
+            && Writegen.unchanged_since g ~seen:w.w_seen ~lo ~hi
+        | None -> false
       in
-      let materialize i len =
-        Array.init len (fun r ->
-            let base = off + ((i + r) * rs) in
-            Array.init cols (fun j -> data.(base + (j * cs))))
-      in
-      let cost = ref Energy_model.zero in
-      let i = ref 0 in
-      while !i < rows do
-        if row_changed !i then begin
-          let j = ref (!i + 1) in
-          while !j < rows && row_changed !j do incr j done;
-          let len = !j - !i in
-          let chunk = materialize !i len in
-          let c = perform_write t id ~row_offset:(row_offset + !i) chunk in
-          (* refresh the log so the next replay sees the new contents;
-             the chunk rows are fresh, so no defensive copy is needed
-             (the subarray stores cells, not the arrays) *)
-          for r = !i to !j - 1 do
-            w.w_data.(r) <- chunk.(r - !i)
-          done;
-          cost := Energy_model.add !cost c;
-          i := !j
-        end
-        else incr i
-      done;
-      !cost
+      if unchanged then Energy_model.zero
+      else begin
+        (* A recorded care mask means the original would see
+           [Some _ <> None] and rewrite the row, so mirror that. *)
+        let always = match w.w_care with Some _ -> true | None -> false in
+        let cost = ref Energy_model.zero in
+        let i = ref 0 in
+        let wdata = w.w_data in
+        while !i < rows do
+          if view_row_changed ~always wdata data ~off ~rs ~cols ~cs !i then begin
+            let j = ref (!i + 1) in
+            while
+              !j < rows
+              && view_row_changed ~always wdata data ~off ~rs ~cols ~cs !j
+            do
+              incr j
+            done;
+            let len = !j - !i in
+            let chunk = materialize_view data ~off ~rs ~cols ~cs !i len in
+            let c = perform_write t id ~row_offset:(row_offset + !i) chunk in
+            (* refresh the log so the next replay sees the new contents;
+               the chunk rows are fresh, so no defensive copy is needed
+               (the subarray stores cells, not the arrays) *)
+            for r = !i to !j - 1 do
+              w.w_data.(r) <- chunk.(r - !i)
+            done;
+            cost := Energy_model.add !cost c;
+            i := !j
+          end
+          else incr i
+        done;
+        (* [w_data] now equals the view: remember the generations it
+           was compared at *)
+        (match gen with
+        | Some g when (not always) && rs >= 0 && cs >= 0
+                      && Writegen.backing g == data ->
+            w.w_gen <- g;
+            w.w_seen <- Writegen.now g;
+            w.w_off <- off;
+            w.w_rs <- rs;
+            w.w_cs <- cs
+        | _ -> w.w_gen <- Writegen.none);
+        !cost
+      end
   | Ev_write _ | Ev_alloc _ | Ev_write_range _ ->
       err "serve replay diverged at a write"
 
-let write_view t id ~row_offset ~rows ~cols data ~off ~rs ~cs =
+let write_view ?gen t id ~row_offset ~rows ~cols data ~off ~rs ~cs =
   if serving t then
-    replay_write_view t id ~row_offset ~rows ~cols data ~off ~rs ~cs
+    replay_write_view ?gen t id ~row_offset ~rows ~cols data ~off ~rs ~cs
   else
     write t id ~row_offset
       (Array.init rows (fun i ->
@@ -484,18 +552,20 @@ let write_view t id ~row_offset ~rows ~cols data ~off ~rs ~cs =
            Array.init cols (fun j -> data.(base + (j * cs)))))
 
 let search t id ~queries ~row_offset ~rows ~kind ~metric
-    ?(batch_extra = false) ?(threshold = 0.) () =
+    ?(batch_extra = false) ?(threshold = 0.) ?packs () =
   let sub = subarray t id in
   let stats = t.sim_stats in
   (match kind with
   | `Range ->
-      ignore (Subarray.search_range ~stats sub ~queries ~row_offset ~rows)
+      ignore
+        (Subarray.search_range ~stats ?packs sub ~queries ~row_offset ~rows)
   | `Threshold ->
       ignore
-        (Subarray.search_threshold ~stats sub ~queries ~row_offset ~rows
-           ~metric ~threshold)
+        (Subarray.search_threshold ~stats ?packs sub ~queries ~row_offset
+           ~rows ~metric ~threshold)
   | `Exact | `Best ->
-      ignore (Subarray.search ~stats sub ~queries ~row_offset ~rows ~metric));
+      ignore
+        (Subarray.search ~stats ?packs sub ~queries ~row_offset ~rows ~metric));
   if tracing t then
     record t
       (Trace.Search

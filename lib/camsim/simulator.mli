@@ -97,6 +97,7 @@ val write_range :
     batch for free; changed row runs are reprogrammed and charged. *)
 
 val write_view :
+  ?gen:Writegen.t ->
   t -> id -> row_offset:int -> rows:int -> cols:int -> float array ->
   off:int -> rs:int -> cs:int -> Energy_model.cost
 (** [write_view t id ~row_offset ~rows ~cols data ~off ~rs ~cs] is
@@ -109,7 +110,14 @@ val write_view :
     nothing, and changed row runs are materialized only as they are
     rewritten. Raw strides rather than a view closure because a
     closure-valued [int -> int -> float] boxes every element it
-    returns. *)
+    returns.
+
+    [gen], the write generations of [data] (see {!Writegen}), makes an
+    unchanged replay O(rows): after a compare the write remembers the
+    clock it compared at, and the next replay of the same view skips
+    the element compare while no row of its window has been written
+    since. The caller guarantees that every write into [data] is
+    reported to [gen]. *)
 
 val search :
   t ->
@@ -121,12 +129,15 @@ val search :
   metric:[ `Hamming | `Euclidean ] ->
   ?batch_extra:bool ->
   ?threshold:float ->
+  ?packs:Scratch.packs ->
   unit ->
   Energy_model.cost
 (** Performs the functional search (result latched in the subarray) and
     charges its cost. [`Best] latches raw distances; [`Threshold]
     latches 1/0 match flags against [threshold] (default 0, making it an
-    exact match); [`Range] latches ACAM range-violation counts. *)
+    exact match); [`Range] latches ACAM range-violation counts. [packs]
+    is the caller's pack record for this query batch (see
+    {!Subarray.search}). *)
 
 val read : t -> id -> float array array
 (** Last search result of a subarray, [Q x active_rows]. *)

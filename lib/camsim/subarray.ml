@@ -368,17 +368,24 @@ let acquire_results t ~q_count ~rows =
     m
   end
 
-(* Classify the window and pack the queries into the per-domain arena.
-   [None] when every row must take the scalar path (non-Hamming metric
-   or a [`Generic] cap); otherwise the capped window class, the arena
-   holding the packs, and whether the binary tier may be used. All
-   packing happens before the parallel region. *)
-let classify t ~queries ~row_offset ~rows ~metric =
+(* Classify the window and pack the queries — into the caller's
+   [packs] when it owns the batch's packs, else into the domain's
+   fallback slot. [None] when every row must take the scalar path
+   (non-Hamming metric or a [`Generic] cap); otherwise the capped
+   window class, the packs, and whether the binary tier may be used.
+   All packing happens before the parallel region. *)
+let classify ?packs t ~queries ~row_offset ~rows ~metric =
   let cap = t.kernel_cap in
   if metric <> `Hamming || cap = `Generic then None
   else begin
     let wcls = cap_class cap (window_class t ~row_offset ~rows) in
-    let packs = Scratch.packs_for ~cols:t.n_cols queries in
+    let packs =
+      match packs with
+      | Some p ->
+          Scratch.refresh p ~cols:t.n_cols queries;
+          p
+      | None -> Scratch.packs_for ~cols:t.n_cols queries
+    in
     let use_b =
       cap = `Binary
       && (wcls = Kernel.Binary
@@ -388,11 +395,55 @@ let classify t ~queries ~row_offset ~rows ~metric =
     Some (wcls, packs, use_b)
   end
 
-let distances ?stats t ~queries ~row_offset ~rows ~metric =
+(* Kernel.pop32, repeated so that it inlines into the loops below:
+   the cross-module call costs more than the popcount itself. *)
+let[@inline] pop32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) lsr 24) land 0xFF
+
+(* Binary Hamming distances of the packed query at [qoff] against the
+   window rows [lo, hi), into [out]. The kernel is inlined and
+   specialised for one payload word (cols <= 32: the second word of
+   each pair is zero on both sides) and for two (cols <= 64); wider
+   rows take Kernel.hamming_binary_flat. Distances are the same
+   integers on every path. *)
+let fill_binary t (pq : Kernel.flat) ~qoff ~row_offset ~lo ~hi
+    (out : float array) =
+  let bp = t.bpack and fbw = t.fbw in
+  if t.n_cols <= 32 then begin
+    let q0 = Array.unsafe_get pq qoff in
+    for i = lo to hi - 1 do
+      Array.unsafe_set out i
+        (float_of_int
+           (pop32 (q0 lxor Array.unsafe_get bp ((row_offset + i) * fbw))))
+    done
+  end
+  else if fbw = 2 then begin
+    let q0 = Array.unsafe_get pq qoff
+    and q1 = Array.unsafe_get pq (qoff + 1) in
+    for i = lo to hi - 1 do
+      let r = (row_offset + i) * 2 in
+      Array.unsafe_set out i
+        (float_of_int
+           (pop32 (q0 lxor Array.unsafe_get bp r)
+           + pop32 (q1 lxor Array.unsafe_get bp (r + 1))))
+    done
+  end
+  else
+    for i = lo to hi - 1 do
+      Array.unsafe_set out i
+        (float_of_int
+           (Kernel.hamming_binary_flat pq ~qoff bp
+              ~roff:((row_offset + i) * fbw) ~iwords:fbw))
+    done
+
+let distances ?stats ?packs t ~queries ~row_offset ~rows ~metric =
   check_window t ~row_offset ~rows;
   check_queries t queries;
   let q_count = Array.length queries in
-  let cls = classify t ~queries ~row_offset ~rows ~metric in
+  let cls = classify ?packs t ~queries ~row_offset ~rows ~metric in
   let sc = Scratch.get () in
   Scratch.counters sc ~n:q_count;
   let kb = sc.Scratch.kb and kn = sc.Scratch.kn and kg = sc.Scratch.kg in
@@ -412,13 +463,8 @@ let distances ?stats t ~queries ~row_offset ~rows ~metric =
               && Bytes.unsafe_get packs.Scratch.bq_has qi = '\001'
             then begin
               kb.(qi) <- kb.(qi) + (hi - !b);
-              let pq = packs.Scratch.bq and qoff = qi * fbw in
-              for i = !b to hi - 1 do
-                Array.unsafe_set out i
-                  (float_of_int
-                     (Kernel.hamming_binary_flat pq ~qoff t.bpack
-                        ~roff:((row_offset + i) * fbw) ~iwords:fbw))
-              done
+              fill_binary t packs.Scratch.bq ~qoff:(qi * fbw) ~row_offset
+                ~lo:!b ~hi out
             end
             else if Bytes.unsafe_get packs.Scratch.nq_has qi = '\001' then begin
               kn.(qi) <- kn.(qi) + (hi - !b);
@@ -500,21 +546,22 @@ let distances ?stats t ~queries ~row_offset ~rows ~metric =
   fold_counters stats sc ~n:q_count;
   result
 
-let search ?stats t ~queries ~row_offset ~rows ~metric =
-  let result = distances ?stats t ~queries ~row_offset ~rows ~metric in
+let search ?stats ?packs t ~queries ~row_offset ~rows ~metric =
+  let result = distances ?stats ?packs t ~queries ~row_offset ~rows ~metric in
   t.last <- Some result;
   result
 
-let search_range ?stats t ~queries ~row_offset ~rows =
+let search_range ?stats ?packs t ~queries ~row_offset ~rows =
   (* Range match is Hamming-style violation counting, which the generic
      path already implements through the [Range] cell case. *)
-  search ?stats t ~queries ~row_offset ~rows ~metric:`Hamming
+  search ?stats ?packs t ~queries ~row_offset ~rows ~metric:`Hamming
 
-let search_threshold ?stats t ~queries ~row_offset ~rows ~metric ~threshold =
+let search_threshold ?stats ?packs t ~queries ~row_offset ~rows ~metric
+    ~threshold =
   check_window t ~row_offset ~rows;
   check_queries t queries;
   let q_count = Array.length queries in
-  let cls = classify t ~queries ~row_offset ~rows ~metric in
+  let cls = classify ?packs t ~queries ~row_offset ~rows ~metric in
   let sc = Scratch.get () in
   Scratch.counters sc ~n:q_count;
   let kb = sc.Scratch.kb

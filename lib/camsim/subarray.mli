@@ -70,6 +70,7 @@ val read_row : t -> int -> float array
 
 val search :
   ?stats:Stats.t ->
+  ?packs:Scratch.packs ->
   t ->
   queries:float array array ->
   row_offset:int ->
@@ -82,21 +83,25 @@ val search :
 
     Large batches chunk across the ambient {!Parallel} pool (the
     cells are read-only during a search and each query owns its result
-    row, so the matrix is identical for any jobs value), and packed
-    Hamming query batches are cached by physical identity so a
-    partitioned search over T row tiles packs the batch once, not T
-    times. When [stats] is given, per-tier row-dispatch counts are
+    row, so the matrix is identical for any jobs value). Hamming
+    searches pack the query batch into [packs] when given — a caller
+    that owns the batch keeps one pack record per batch, so the batch
+    is packed once however many tiles search it (see
+    {!Scratch.refresh}) — and into the domain's single fallback slot
+    otherwise. When [stats] is given, per-tier row-dispatch counts are
     folded into it after the join (jobs-invariant).
     @raise Invalid_argument when the window or query width is out of
     bounds. *)
 
 val search_range :
-  ?stats:Stats.t -> t -> queries:float array array -> row_offset:int ->
-  rows:int -> float array array
+  ?stats:Stats.t -> ?packs:Scratch.packs -> t ->
+  queries:float array array -> row_offset:int -> rows:int ->
+  float array array
 (** ACAM range match: violation counts per (query, row). *)
 
 val search_threshold :
   ?stats:Stats.t ->
+  ?packs:Scratch.packs ->
   t -> queries:float array array -> row_offset:int -> rows:int ->
   metric:[ `Hamming | `Euclidean ] -> threshold:float -> float array array
 (** Threshold-match sensing: 1.0 for rows within [threshold] of the

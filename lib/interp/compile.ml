@@ -65,7 +65,13 @@ type creg =
 
 (* ---------- compile-time environment ---------------------------------- *)
 
-type cenv = { tbl : (int, int) Hashtbl.t; mutable n_slots : int }
+type cenv = {
+  tbl : (int, int) Hashtbl.t;
+  mutable n_slots : int;
+  uses : (int, int) Hashtbl.t; (* operand occurrences per value id *)
+  defs : (int, int) Hashtbl.t; (* definitions per value id *)
+  fused : (int, unit) Hashtbl.t; (* cam.read results merged in place *)
+}
 
 let slot cenv (v : Ir.Value.t) =
   match Hashtbl.find_opt cenv.tbl v.Ir.Value.id with
@@ -371,6 +377,81 @@ let analyze_independence cenv (r : Ir.Op.region) : indep =
               (fun ctx ~step -> List.for_all (fun f -> f ctx ~step) checks)
       end
   | _ -> Never
+
+(* ---------- read→merge fusion ------------------------------------------ *)
+
+(* A tile of a partitioned search ends in [%p = cam.read %s] followed by
+   [cam.merge_partial %dst, %p]. Copying the latched Q x rows matrix
+   into a fresh buffer only to add it into [%dst] is pure host
+   overhead, so the pair fuses when that copy cannot be observed: [%p]
+   is defined once and used once, by the part operand of a
+   cam.merge_partial later in the same block, and no op between them is
+   — or contains — a cam op that could change the subarray's latched
+   rows. Both ops still execute and are counted; only the copy goes.
+   The decision is made here, at compile time, and the tree-walker
+   (which never fuses) stays the oracle. *)
+
+let rec iter_ops f (ops : Ir.Op.t list) =
+  List.iter
+    (fun (o : Ir.Op.t) ->
+      f o;
+      List.iter
+        (fun (r : Ir.Op.region) ->
+          List.iter (fun (b : Ir.Op.block) -> iter_ops f b.Ir.Op.body) r.blocks)
+        o.regions)
+    ops
+
+let bump tbl id =
+  Hashtbl.replace tbl id (1 + Option.value ~default:0 (Hashtbl.find_opt tbl id))
+
+(* Operand and definition counts of every value in a function body. *)
+let count_values cenv (fn : Ir.Func_ir.func) =
+  List.iter (fun (v : Ir.Value.t) -> bump cenv.defs v.id) fn.Ir.Func_ir.fn_args;
+  iter_ops
+    (fun o ->
+      List.iter (fun (v : Ir.Value.t) -> bump cenv.uses v.id) o.operands;
+      List.iter (fun (v : Ir.Value.t) -> bump cenv.defs v.id) o.results;
+      List.iter
+        (fun (r : Ir.Op.region) ->
+          List.iter
+            (fun (b : Ir.Op.block) ->
+              List.iter
+                (fun (v : Ir.Value.t) -> bump cenv.defs v.id)
+                b.Ir.Op.block_args)
+            r.blocks)
+        o.regions)
+    fn.Ir.Func_ir.fn_body.Ir.Op.body
+
+let is_cam (o : Ir.Op.t) = Ops.has_prefix "cam." o.op_name
+
+let mark_fused cenv (body : Ir.Op.t list) =
+  let count tbl (v : Ir.Value.t) =
+    Option.value ~default:0 (Hashtbl.find_opt tbl v.id)
+  in
+  (* does the merge come before any op that could disturb the latch? *)
+  let rec reaches (p : Ir.Value.t) = function
+    | [] -> false
+    | (o : Ir.Op.t) :: rest -> (
+        match o.op_name, o.operands with
+        | "cam.merge_partial", [ dst; part ] ->
+            part.Ir.Value.id = p.id && dst.Ir.Value.id <> p.id
+        | _ ->
+            (not (is_cam o))
+            && (not (List.exists is_cam (List.fold_left Ops.collect_ops [] o.regions)))
+            && reaches p rest)
+  in
+  let rec go = function
+    | [] -> ()
+    | (o : Ir.Op.t) :: rest ->
+        (match o.op_name, o.results with
+        | "cam.read", [ p ]
+          when count cenv.uses p = 1 && count cenv.defs p = 1 && reaches p rest
+          ->
+            Hashtbl.replace cenv.fused p.id ()
+        | _ -> ());
+        go rest
+  in
+  go body
 
 (* ---------- the op compiler -------------------------------------------- *)
 
@@ -858,7 +939,9 @@ and compile_op_inner cenv (op : Ir.Op.t) : cop =
       fun ctx ->
         let handle = hg ctx in
         let row_offset = og ctx in
-        let cost = Ops.cam_write (simx ctx) handle ~row_offset (dg ctx) in
+        let cost =
+          Ops.cam_write ctx.qcache (simx ctx) handle ~row_offset (dg ctx)
+        in
         cost.Camsim.Energy_model.latency
   | "cam.write_range" ->
       let hg = use_handle cenv (opnd 0) in
@@ -892,26 +975,43 @@ and compile_op_inner cenv (op : Ir.Op.t) : cop =
         | Dialects.Cam.Hamming -> `Hamming
         | Euclidean -> `Euclidean
       in
+      (* options built once, so the optional arguments allocate
+         nothing per search *)
       let batch_extra =
-        match Ir.Op.attr op "batch_extra" with
-        | Some a -> Ir.Attr.as_bool a
-        | None -> false
+        Some
+          (match Ir.Op.attr op "batch_extra" with
+          | Some a -> Ir.Attr.as_bool a
+          | None -> false)
       in
       let threshold =
-        match Ir.Op.attr op "threshold" with
-        | Some a -> Ir.Attr.as_float a
-        | None -> 0.
+        Some
+          (match Ir.Op.attr op "threshold" with
+          | Some a -> Ir.Attr.as_float a
+          | None -> 0.)
       in
       let rows = attr_i op "rows" in
       fun ctx ->
         let handle = hg ctx in
-        let queries = Ops.Qcache.rows_cached ctx.qcache (qg ctx) in
+        let qv = qg ctx in
         let row_offset = og ctx in
         let cost =
-          Camsim.Simulator.search (simx ctx) handle ~queries ~row_offset ~rows
-            ~kind ~metric ~batch_extra ~threshold ()
+          Ops.cam_search ctx.qcache (simx ctx) handle qv ~row_offset ~rows
+            ~kind ~metric ?batch_extra ?threshold ()
         in
         cost.Camsim.Energy_model.latency
+  | "cam.read" when Hashtbl.mem cenv.fused (Ir.Op.result op).Ir.Value.id ->
+      (* read→merge fusion (see [mark_fused]): the read still executes
+         — and fails before any search, like the unfused read — but
+         binds its handle instead of a copy of the latched rows; the
+         merge reads the rows from the subarray *)
+      let g = use cenv (opnd 0) in
+      let s = def1 () in
+      fun ctx ->
+        let hv = g ctx in
+        let h = Rtval.as_handle hv in
+        ignore (Camsim.Simulator.read (simx ctx) h);
+        set ctx s hv;
+        0.
   | "cam.read" ->
       let g = use_handle cenv (opnd 0) in
       let s = def1 () in
@@ -920,6 +1020,19 @@ and compile_op_inner cenv (op : Ir.Op.t) : cop =
           (Rtval.Buffer
              (Rtval.buffer_of_rows (Camsim.Simulator.read (simx ctx) (g ctx))));
         0.
+  | "cam.merge_partial" when Hashtbl.mem cenv.fused (opnd 1).Ir.Value.id ->
+      let dg = use_buffer cenv (opnd 0) in
+      let hg = use_handle cenv (opnd 1) in
+      fun ctx ->
+        let dst = dg ctx in
+        let sim = simx ctx in
+        Ops.rows_accumulate "cam.merge_partial" dst
+          (Camsim.Simulator.read sim (hg ctx));
+        Ops.Qcache.invalidate ctx.qcache dst.Rtval.b_data;
+        let cost =
+          Camsim.Simulator.merge sim ~elems:(Rtval.numel dst.Rtval.b_shape)
+        in
+        cost.Camsim.Energy_model.latency
   | "cam.merge_partial" ->
       let dg = use_buffer cenv (opnd 0) in
       let pg = use_buffer cenv (opnd 1) in
@@ -1000,6 +1113,7 @@ and compile_block cenv (blk : Ir.Op.block) : cblk =
         else split (op :: acc) rest
   in
   let body_ops, term_op = split [] blk.Ir.Op.body in
+  mark_fused cenv body_ops;
   let body = Array.of_list (List.map (compile_op cenv) body_ops) in
   let dials =
     Array.of_list
@@ -1024,13 +1138,23 @@ type cfunc = {
   cf_nslots : int;
   cf_args : int array;
   cf_body : cblk;
+  cf_fused : int; (* cam.read ops fused into their merge *)
 }
 
 let block_num_ops (b : Ir.Op.block) =
   List.fold_left (fun acc o -> acc + Ir.Op.num_ops o) 0 b.Ir.Op.body
 
 let compile_func (fn : Ir.Func_ir.func) : cfunc =
-  let cenv = { tbl = Hashtbl.create 256; n_slots = 0 } in
+  let cenv =
+    {
+      tbl = Hashtbl.create 256;
+      n_slots = 0;
+      uses = Hashtbl.create 256;
+      defs = Hashtbl.create 256;
+      fused = Hashtbl.create 16;
+    }
+  in
+  count_values cenv fn;
   let cf_args = Array.of_list (List.map (def cenv) fn.Ir.Func_ir.fn_args) in
   let cf_body = compile_block cenv fn.Ir.Func_ir.fn_body in
   {
@@ -1039,6 +1163,7 @@ let compile_func (fn : Ir.Func_ir.func) : cfunc =
     cf_nslots = cenv.n_slots;
     cf_args;
     cf_body;
+    cf_fused = Hashtbl.length cenv.fused;
   }
 
 (* Per-domain memo keyed on the first body op's uid (process-unique, so
@@ -1067,6 +1192,8 @@ let compiled_of (fn : Ir.Func_ir.func) =
           if Hashtbl.length tbl >= memo_limit then Hashtbl.reset tbl;
           Hashtbl.replace tbl key cf;
           cf)
+
+let fused_reads fn = (compiled_of fn).cf_fused
 
 let run_fn ?sim ?xsim ?qcache (fn : Ir.Func_ir.func) (args : Rtval.t list) :
     Ops.outcome =

@@ -29,3 +29,10 @@ val run_fn :
     Engine selection is per call: [Machine.run]'s [?precompile]
     (default: compiled) or [Driver.Run_config.engine] — there is no
     process-global flag to mutate. *)
+
+val fused_reads : Ir.Func_ir.func -> int
+(** How many [cam.read] ops of the function the compiler fuses into the
+    [cam.merge_partial] that consumes them (see docs/INTERPRETER.md):
+    the read still executes and is counted, but the merge accumulates
+    straight from the subarray's latched rows instead of a copy.
+    Compiles (or fetches from the memo) like {!run_fn}. *)

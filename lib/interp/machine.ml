@@ -568,7 +568,7 @@ and exec_op st (op : Ir.Op.t) :
       let handle = Rtval.as_handle (operand st op 0) in
       let row_offset = Rtval.as_index (operand st op 2) in
       let cost =
-        Ops.cam_write (sim st) handle ~row_offset (operand st op 1)
+        Ops.cam_write st.qcache (sim st) handle ~row_offset (operand st op 1)
       in
       (`Next, cost.Camsim.Energy_model.latency)
   | "cam.write_range" ->
@@ -582,7 +582,7 @@ and exec_op st (op : Ir.Op.t) :
       (`Next, cost.Camsim.Energy_model.latency)
   | "cam.search" ->
       let handle = Rtval.as_handle (operand st op 0) in
-      let queries = Ops.Qcache.rows_cached st.qcache (operand st op 1) in
+      let qv = operand st op 1 in
       let row_offset = Rtval.as_index (operand st op 2) in
       let kind =
         match
@@ -611,7 +611,7 @@ and exec_op st (op : Ir.Op.t) :
         | None -> 0.
       in
       let cost =
-        Camsim.Simulator.search (sim st) handle ~queries ~row_offset
+        Ops.cam_search st.qcache (sim st) handle qv ~row_offset
           ~rows:(attr_i op "rows") ~kind ~metric ~batch_extra ~threshold ()
       in
       (`Next, cost.Camsim.Energy_model.latency)

@@ -71,23 +71,30 @@ type outcome = {
 
 (* ---------- the query-row cache ---------------------------------------- *)
 
-(* Rows extracted from recent query operands, keyed on the physical
-   runtime value. A partitioned search issues T cam.search ops over the
-   same query buffer; returning the same physical rows arrays lets
-   Subarray's packed-query cache hit on tiles 2..T instead of re-packing
-   per tile. Entries carry the backing store so writes can invalidate
+(* Rows extracted from recent query operands, keyed on the window
+   geometry over a physical backing store. A partitioned search issues
+   T cam.search ops over the same query buffer; each distinct window
+   extracts its rows once, and its entry owns the packed forms of those
+   rows, so the kernels pack each window once per refill instead of once
+   per search. Entries carry the backing store so writes can invalidate
    them.
 
    Layout: a fixed-capacity ring with move-to-front on hit, replacing
    the former assoc list + List.filter. Tiled searches touch the same
    key T times in a row, so after the first probe the hit is entry 0 and
-   the scan stops immediately instead of walking the whole list. *)
+   the scan stops immediately instead of walking the whole list.
+
+   The cache also holds the write generations (Camsim.Writegen) of the
+   backings its owner registered with [track]: every write it hears of
+   through [invalidate] or [invalidate_row] advances them, which lets a
+   replayed cam.write_value of an unchanged window skip its compare. *)
 module Qcache = struct
   (* Must cover one partitioned kernel's worth of distinct tile
      geometries: a 2048-column buffer split over 32-column subarrays is
      64 views, and a capacity below that thrashes — every batch misses
      every tile and re-extracts the whole buffer. Entries are a few
-     dozen words each, so the bound is about staleness, not memory. *)
+     dozen words each plus their packs, so the bound is about
+     staleness, not memory. *)
   let capacity = 128
 
   (* An entry is keyed on the window geometry over a physical backing
@@ -103,21 +110,45 @@ module Qcache = struct
     e_strides : int list; (* [] for tensors *)
     mutable e_rows : float array array;
     mutable e_stale : bool;
+    (* packs of [e_rows]; an option built once, so passing it to the
+       simulator's optional argument allocates nothing per search *)
+    e_packs : Camsim.Scratch.packs option;
   }
 
   type t = {
     mutable len : int;
     mutable head : int; (* physical slot of logical entry 0 *)
     entries : entry option array;
+    (* write generations of tracked backings, as the options handed to
+       Simulator.write_view (built once, like [e_packs]) *)
+    mutable gens : Camsim.Writegen.t option list;
   }
 
-  let create () = { len = 0; head = 0; entries = Array.make capacity None }
+  let create () =
+    { len = 0; head = 0; entries = Array.make capacity None; gens = [] }
+
+  let rec gen_of gens (data : float array) =
+    match gens with
+    | [] -> None
+    | (Some g as o) :: _ when Camsim.Writegen.backing g == data -> o
+    | _ :: tl -> gen_of tl data
+
+  let writegen t data = gen_of t.gens data
+
+  let track t data ~row_len =
+    match gen_of t.gens data with
+    | Some _ -> ()
+    | None -> t.gens <- Some (Camsim.Writegen.create data ~row_len) :: t.gens
 
   let clear t =
     t.len <- 0;
     t.head <- 0;
     (* release the cached arrays *)
-    Array.fill t.entries 0 capacity None
+    Array.fill t.entries 0 capacity None;
+    (* the caller is about to write where this cache cannot see (the
+       private caches of data-parallel loop chunks), so every tracked
+       backing counts as written *)
+    List.iter (Option.iter Camsim.Writegen.touch_all) t.gens
 
   let phys t i = (t.head + i) mod capacity
   let length t = t.len
@@ -172,11 +203,12 @@ module Qcache = struct
     if t.len < capacity then t.len <- t.len + 1
 
   (* Refresh a stale entry from the value's current contents. The rows
-     get a fresh outer array (sharing the refilled row storage): the
-     subarray's per-domain pack cache keys on the outer array's
-     physical identity, so reusing it would hand stale query packs to
-     the kernels. The inner rows are refilled in place — per batch this
-     allocates one small spine instead of the whole matrix. *)
+     get a fresh outer array (sharing the refilled row storage): pack
+     records key on the outer array's physical identity, so the fresh
+     spine is what tells the entry's packs — and the simulator's
+     fallback slot — that the contents changed. The inner rows are
+     refilled in place — per batch this allocates one small spine
+     instead of the whole matrix. *)
   let refill e (v : Rtval.t) =
     match v with
     | Rtval.Buffer
@@ -192,51 +224,81 @@ module Qcache = struct
         e.e_rows <- rows
     | _ -> e.e_rows <- Rtval.to_rows v
 
+  (* The live entry for [v]'s window geometry over [back]: a hit
+     (refilled first when stale) or a fresh insertion. *)
+  let entry t (v : Rtval.t) back off shape strides =
+    let i = find_geom t back off shape strides in
+    if i >= 0 then begin
+      let e = promote t i in
+      if e.e_stale then begin
+        refill e v;
+        e.e_stale <- false
+      end;
+      e
+    end
+    else begin
+      let e =
+        {
+          e_back = back;
+          e_off = off;
+          e_shape = shape;
+          e_strides = strides;
+          e_rows = Rtval.to_rows v;
+          e_stale = false;
+          e_packs = Some (Camsim.Scratch.create_packs ());
+        }
+      in
+      insert t e;
+      e
+    end
+
+  (* The entry for [v]: cached when [v] has a float-array backing;
+     scalars and handles get an uncached one-off entry (and no packs)
+     so their failure surfaces from [Rtval.to_rows] as before. *)
+  let entry_of t (v : Rtval.t) =
+    match v with
+    | Rtval.Buffer b ->
+        entry t v b.Rtval.b_data b.Rtval.b_offset b.Rtval.b_shape
+          b.Rtval.b_strides
+    | Rtval.Tensor tn -> entry t v tn.Rtval.t_data 0 tn.Rtval.t_shape []
+    | _ ->
+        {
+          e_back = [||];
+          e_off = 0;
+          e_shape = [];
+          e_strides = [];
+          e_rows = Rtval.to_rows v;
+          e_stale = false;
+          e_packs = None;
+        }
+
   (* Like [Rtval.to_rows], but memoized on the value's window geometry
      so repeated searches over one query batch share the extracted
      arrays. *)
-  let rows_cached t (v : Rtval.t) =
-    let cached back off shape strides =
-      let i = find_geom t back off shape strides in
-      if i >= 0 then begin
-        let e = promote t i in
-        if e.e_stale then begin
-          refill e v;
-          e.e_stale <- false
-        end;
-        e.e_rows
-      end
-      else begin
-        let rows = Rtval.to_rows v in
-        insert t
-          {
-            e_back = back;
-            e_off = off;
-            e_shape = shape;
-            e_strides = strides;
-            e_rows = rows;
-            e_stale = false;
-          };
-        rows
-      end
-    in
-    match v with
-    | Rtval.Buffer b ->
-        cached b.Rtval.b_data b.Rtval.b_offset b.Rtval.b_shape
-          b.Rtval.b_strides
-    | Rtval.Tensor tn -> cached tn.Rtval.t_data 0 tn.Rtval.t_shape []
-    | _ -> Rtval.to_rows v
+  let rows_cached t (v : Rtval.t) = (entry_of t v).e_rows
+
+  let mark_stale t (data : float array) =
+    for i = 0 to t.len - 1 do
+      match t.entries.(phys t i) with
+      | Some e when e.e_back == data -> e.e_stale <- true
+      | _ -> ()
+    done
 
   (* Mark cache entries whose backing store was just written. Stale
      entries keep their slot and row storage — the next hit refills in
      place — so a session's steady write-then-search cycle neither
      churns entries nor reallocates row matrices. *)
   let invalidate t (data : float array) =
-    for i = 0 to t.len - 1 do
-      match t.entries.(phys t i) with
-      | Some e when e.e_back == data -> e.e_stale <- true
-      | _ -> ()
-    done
+    mark_stale t data;
+    match gen_of t.gens data with
+    | Some g -> Camsim.Writegen.touch_all g
+    | None -> ()
+
+  let invalidate_row t (data : float array) ~row =
+    mark_stale t data;
+    match gen_of t.gens data with
+    | Some g -> Camsim.Writegen.touch_row g row
+    | None -> ()
 end
 
 (* ---------- scf.parallel analysis predicates -------------------------- *)
@@ -620,21 +682,52 @@ let buffer_accumulate what (dst : Rtval.buffer) (part : Rtval.buffer) =
       done
   | _ -> fail "%s: shape mismatch" what
 
+(* [buffer_accumulate] with the part given as rows — a subarray's
+   latched match-line matrix, read in place by the fused
+   cam.read→cam.merge_partial pair; same shape check, same additions
+   in the same order *)
+let rows_accumulate what (dst : Rtval.buffer) (rows : float array array) =
+  let q' = Array.length rows in
+  let r' = if q' = 0 then 0 else Array.length rows.(0) in
+  match (dst.b_shape, dst.b_strides) with
+  | [ q; r ], [ ds0; ds1 ] when q = q' && r = r' ->
+      let dd = dst.b_data in
+      for i = 0 to q - 1 do
+        let db = dst.b_offset + (i * ds0) and row = rows.(i) in
+        for j = 0 to r - 1 do
+          let di = db + (j * ds1) in
+          Array.unsafe_set dd di (Array.unsafe_get dd di +. row.(j))
+        done
+      done
+  | _ -> fail "%s: shape mismatch" what
+
 (* cam.write dispatch shared by the engines: rank-2 buffers and tensors
    hand the simulator a strided window over their storage instead of
    materialized rows, so a replayed unchanged write (the steady state
-   of a serving session) allocates nothing. *)
-let cam_write sim handle ~row_offset (v : Rtval.t) =
+   of a serving session) allocates nothing — and, over a backing the
+   cache tracks, skips its compare while the window's rows are
+   unwritten. *)
+let cam_write qcache sim handle ~row_offset (v : Rtval.t) =
   match v with
   | Rtval.Buffer
       { b_shape = [ rows; cols ]; b_strides = [ s0; s1 ]; b_offset; b_data }
     ->
-      Camsim.Simulator.write_view sim handle ~row_offset ~rows ~cols b_data
-        ~off:b_offset ~rs:s0 ~cs:s1
+      Camsim.Simulator.write_view
+        ?gen:(Qcache.writegen qcache b_data)
+        sim handle ~row_offset ~rows ~cols b_data ~off:b_offset ~rs:s0 ~cs:s1
   | Rtval.Tensor { t_shape = [ rows; cols ]; t_data } ->
       Camsim.Simulator.write_view sim handle ~row_offset ~rows ~cols t_data
         ~off:0 ~rs:cols ~cs:1
   | _ -> Camsim.Simulator.write sim handle ~row_offset (Rtval.to_rows v)
+
+(* cam.search dispatch shared by the engines: the query operand's rows
+   and their packs come from the cache entry of its window, so a window
+   searched by many tiles is extracted and packed once per refill. *)
+let cam_search qcache sim handle (v : Rtval.t) ~row_offset ~rows ~kind
+    ~metric ?batch_extra ?threshold () =
+  let e = Qcache.entry_of qcache v in
+  Camsim.Simulator.search sim handle ~queries:e.Qcache.e_rows ~row_offset
+    ~rows ~kind ~metric ?batch_extra ?threshold ?packs:e.Qcache.e_packs ()
 
 let scalar_of what (v : Rtval.t) =
   match v with

@@ -54,17 +54,25 @@ type outcome = {
 
     Rows extracted from recent query operands, keyed on the window
     geometry over a {e physical} backing store — (backing array,
-    offset, shape, strides). A partitioned search issues T [cam.search]
-    ops over the same query buffer; returning the same physical rows
-    arrays lets the subarray's packed-query cache hit on tiles 2..T
-    instead of re-packing per tile, and geometry keying lets fresh view
-    boxes over a session's persistent query buffer hit across batches.
-    A write into a backing store marks its entries stale rather than
-    dropping them: the next hit refills the cached rows from the new
-    contents in place. A fixed-capacity ring with move-to-front on hit,
-    so tiled searches stop at entry 0 instead of walking the whole
-    cache. The cache only affects packing work, never results, so
-    engines with different hit patterns stay byte-identical. *)
+    offset, shape, strides). A partitioned search issues one
+    [cam.search] per tile; each distinct window extracts its rows once,
+    and its entry owns the packed forms of those rows (a
+    [Camsim.Scratch.packs] record), so a window searched by T tiles is
+    packed once per refill rather than T times. Geometry keying lets
+    fresh view boxes over a session's persistent query buffer hit
+    across batches. A write into a backing store marks its entries
+    stale rather than dropping them: the next hit refills the cached
+    rows from the new contents in place. A fixed-capacity ring with
+    move-to-front on hit, so tiled searches stop at entry 0 instead of
+    walking the whole cache. The cache only affects extraction and
+    packing work, never results, so engines with different hit
+    patterns stay byte-identical.
+
+    The cache also keeps the write generations
+    ({!Camsim.Writegen}) of backings registered with {!track}: every
+    write reported through {!invalidate} or {!invalidate_row} advances
+    them, and {!cam_write} hands them to the simulator so that the
+    replay of an unchanged stored window skips its element compare. *)
 module Qcache : sig
   type t
 
@@ -73,6 +81,10 @@ module Qcache : sig
   val create : unit -> t
 
   val clear : t -> unit
+  (** Drop every entry, and count every tracked backing as written:
+      the caller is about to write where this cache cannot see (the
+      private caches of data-parallel loop chunks). Registrations made
+      with {!track} stay. *)
 
   val length : t -> int
 
@@ -88,8 +100,19 @@ module Qcache : sig
 
   val invalidate : t -> float array -> unit
   (** Mark entries whose backing store is (physically) this array as
-      stale — called after every write into a buffer. A stale entry's
-      rows are refilled from the current contents on its next hit. *)
+      stale — called after every write into a buffer — and, when the
+      backing is tracked, advance its whole-backing generation. A stale
+      entry's rows are refilled from the current contents on its next
+      hit. *)
+
+  val track : t -> float array -> row_len:int -> unit
+  (** Keep write generations for this backing, in rows of [row_len]
+      elements (no-op when already tracked). From here on every write
+      into it must be reported to this cache. *)
+
+  val invalidate_row : t -> float array -> row:int -> unit
+  (** {!invalidate} for a write confined to one row of a tracked
+      backing: only that row's generation advances. *)
 end
 
 (** {2 scf.parallel analysis predicates}
@@ -148,14 +171,29 @@ val buffer_accumulate : string -> Rtval.buffer -> Rtval.buffer -> unit
 (** In-place elementwise accumulate of two equally-shaped rank-2
     buffers; the string names the op in failure messages. *)
 
+val rows_accumulate : string -> Rtval.buffer -> float array array -> unit
+(** {!buffer_accumulate} with the part given as rows (a subarray's
+    latched result, read in place): the same shape check and the same
+    additions, without first copying the rows into a buffer. *)
+
 val cam_write :
-  Camsim.Simulator.t -> Camsim.Simulator.id -> row_offset:int -> Rtval.t ->
-  Camsim.Energy_model.cost
+  Qcache.t -> Camsim.Simulator.t -> Camsim.Simulator.id -> row_offset:int ->
+  Rtval.t -> Camsim.Energy_model.cost
 (** [cam.write_value] dispatch shared by the engines: rank-2 buffers
     and tensors go through {!Camsim.Simulator.write_view} as an element
     view over their storage (allocation-free when a serving replay
-    finds the rows unchanged); anything else materializes rows and uses
-    the plain write. *)
+    finds the rows unchanged, and compare-free when the cache tracks
+    the backing and no row of the window was written since the last
+    compare); anything else materializes rows and uses the plain
+    write. *)
+
+val cam_search :
+  Qcache.t -> Camsim.Simulator.t -> Camsim.Simulator.id -> Rtval.t ->
+  row_offset:int -> rows:int -> kind:[ `Exact | `Best | `Threshold | `Range ] ->
+  metric:[ `Hamming | `Euclidean ] -> ?batch_extra:bool -> ?threshold:float ->
+  unit -> Camsim.Energy_model.cost
+(** [cam.search] dispatch shared by the engines: the query operand's
+    rows and their pack record come from its cache entry. *)
 
 val scalar_of : string -> Rtval.t -> float
 (** Scalar or index operand coerced to float; fails with

@@ -70,12 +70,18 @@ let create ?(config = C4cam.Driver.Run_config.default) ?artifact ~spec
   let qbuf =
     Interp.Rtval.fresh_buffer [ compiled.info.q; compiled.info.d ]
   in
+  (* Write generations of the pinned rows (row r of the row-major
+     buffer is one generation row): a replayed write of a window whose
+     rows nobody wrote since its last compare skips the compare. *)
+  let qcache = Interp.Ops.Qcache.create () in
+  Interp.Ops.Qcache.track qcache buf.Interp.Rtval.b_data
+    ~row_len:(max 1 compiled.info.d);
   {
     s_compiled = compiled;
     s_cache = cache;
     s_config = config;
     s_sim = sim;
-    s_qcache = Interp.Ops.Qcache.create ();
+    s_qcache = qcache;
     s_stored = Interp.Rtval.Buffer buf;
     s_buf = buf;
     s_qbuf = qbuf;
@@ -284,5 +290,8 @@ let update_stored t ~row values =
   Array.blit values 0 t.s_buf.Interp.Rtval.b_data
     (t.s_buf.Interp.Rtval.b_offset + (row * d))
     d;
-  (* The query-pack cache may hold packed forms of the stale buffer. *)
-  Interp.Ops.Qcache.invalidate t.s_qcache t.s_buf.Interp.Rtval.b_data
+  (* The query-row cache may hold rows of the stale buffer; the row's
+     write generation advances, so the next replay compares the
+     windows that cover it (and only those). *)
+  Interp.Ops.Qcache.invalidate_row t.s_qcache t.s_buf.Interp.Rtval.b_data
+    ~row

@@ -64,8 +64,10 @@ val update_stored : t -> row:int -> float array -> unit
 (** Replace one pinned stored row in place. The physical device write
     happens lazily on the next {!query}: replay compares the pinned
     rows against what the device holds and rewrites (and charges for)
-    only the changed rows. Also invalidates the session's query-pack
-    cache, which may hold packed forms of the stale buffer.
+    only the changed rows. Also invalidates the session's query-row
+    cache, which may hold rows of the stale buffer, and advances the
+    row's write generation, so that only the stored windows covering
+    this row are compared on that replay (see [docs/SERVING.md]).
     @raise Serve_error on a bad row index or width. *)
 
 (** {1 Introspection} *)

@@ -15,6 +15,7 @@
 
 exception Server_error of string
 exception Overloaded
+exception Paused_full
 exception Stopped
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Server_error s)) fmt
@@ -73,6 +74,9 @@ and t = {
   mutable queued_rows : int;
   mutable in_flight : bool;  (* a batch is executing off-lock *)
   mutable paused : bool;
+  mutable paused_by : Domain.id;
+      (* the domain that paused the scheduler (the creator under
+         [start_paused]); meaningful only while [paused] *)
   mutable stopping : bool;
   mutable stopped : bool;
   mutable scheduler : unit Domain.t option;
@@ -331,6 +335,7 @@ let create_on ?(config = default_config) backend =
       queued_rows = 0;
       in_flight = false;
       paused = config.start_paused;
+      paused_by = Domain.self ();
       stopping = false;
       stopped = false;
       scheduler = None;
@@ -394,6 +399,12 @@ let submit c rows =
       | `Fail_fast ->
           Mutex.unlock t.m;
           raise Overloaded
+      | `Block when t.paused && t.paused_by = Domain.self () ->
+          (* only the scheduler frees room, and it stays paused until
+             its pauser resumes it — which is this caller, about to
+             wait: the wait would never end *)
+          Mutex.unlock t.m;
+          raise Paused_full
       | `Block ->
           Condition.wait t.cv_room t.m;
           admit ()
@@ -434,7 +445,10 @@ let await tk =
 
 let rpc c rows = await (submit c rows)
 
-let pause t = Mutex.protect t.m (fun () -> t.paused <- true)
+let pause t =
+  Mutex.protect t.m (fun () ->
+      t.paused <- true;
+      t.paused_by <- Domain.self ())
 
 let resume t =
   Mutex.protect t.m (fun () ->

@@ -45,6 +45,16 @@ exception Overloaded
 (** Raised by {!submit} under [`Fail_fast] backpressure when admitting
     the request would push the queue past [queue_cap]. *)
 
+exception Paused_full
+(** Raised by {!submit} under [`Block] backpressure when admitting the
+    request would push the queue past [queue_cap] while the scheduler
+    is paused and the caller is the domain that paused it ({!pause},
+    or {!create} under [start_paused]). Only the scheduler frees room,
+    so the caller would wait for its own {!resume}: the request is not
+    enqueued, and the caller may {!resume} and submit it again.
+    Submitters on other domains still block until some domain
+    resumes. *)
+
 exception Stopped  (** the server was {!stop}ped *)
 
 type backpressure = [ `Block | `Fail_fast ]
@@ -97,6 +107,8 @@ val submit : client -> float array array -> ticket
     are discarded on demux and never reach any response).
     @raise Server_error on an empty request or wrong row width
     @raise Overloaded under [`Fail_fast] backpressure at the cap
+    @raise Paused_full under [`Block] backpressure at the cap when the
+    caller paused the server
     @raise Stopped after {!stop}. *)
 
 type response = {

@@ -54,6 +54,8 @@ let run ?sim ?(fuel = 100_000_000) (p : Isa.program) args =
     | Interp.Rtval.Handle h -> h
     | _ -> fail "r%d: expected a device handle" r
   in
+  (* tracks no backings, so every replayed write compares its window *)
+  let qcache = Interp.Ops.Qcache.create () in
   let pc = ref 0 in
   let steps = ref 0 in
   let result = ref None in
@@ -127,7 +129,7 @@ let run ?sim ?(fuel = 100_000_000) (p : Isa.program) args =
         pc := next
     | Isa.Cam_write (s, data, off) ->
         charge
-          (Interp.Ops.cam_write (sim ()) (handle s) ~row_offset:(idx off)
+          (Interp.Ops.cam_write qcache (sim ()) (handle s) ~row_offset:(idx off)
              (Interp.Rtval.Buffer (buf data)));
         pc := next
     | Isa.Cam_search (s, q, off, params) ->

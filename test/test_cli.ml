@@ -1,5 +1,6 @@
 (* Smoke tests of the pieces behind the CLI that are not covered
-   elsewhere: kernel templates and traced compilation. *)
+   elsewhere: kernel templates, traced compilation, and one run of the
+   binary itself. *)
 
 let test_kernel_templates_compile () =
   List.iter
@@ -65,6 +66,46 @@ let test_stage_texts_complete () =
     [ "torch"; "cim"; "cam" ]
     (List.map fst (C4cam.Driver.stage_texts c))
 
+(* [c4cam serve --clients] queues every batch on a paused server before
+   starting it. 17 batches of 16 rows exceed the default 256-row queue
+   cap, which once hung the command forever; it must now serve every
+   request and exit. The binary runs as a child process under a
+   watchdog, so a regression fails here instead of hanging the suite. *)
+let test_serve_overfull_queue () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "c4cam_cli.exe" in
+  let out = Filename.temp_file "c4cam_serve" ".out" in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process exe
+      [| exe; "serve"; "--workload"; "hdc"; "--batches"; "17"; "--clients";
+         "8" |]
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let deadline = Unix.gettimeofday () +. 60. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.02;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "c4cam serve --batches 17 --clients 8 did not exit"
+    | _, status -> status
+  in
+  let status = wait () in
+  let text = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
+  let requests =
+    List.length
+      (List.filter
+         (fun l -> String.length l > 8 && String.sub l 0 8 = "request ")
+         (String.split_on_char '\n' text))
+  in
+  Alcotest.(check int) "every request served" 17 requests
+
 let () =
   Alcotest.run "cli"
     [
@@ -77,5 +118,10 @@ let () =
           Alcotest.test_case "traced = untraced" `Quick
             test_traced_equals_untraced;
           Alcotest.test_case "stage texts" `Quick test_stage_texts_complete;
+        ] );
+      ( "binary",
+        [
+          Alcotest.test_case "serve past the queue cap exits" `Quick
+            test_serve_overfull_queue;
         ] );
     ]

@@ -369,6 +369,76 @@ let test_qcache_invalidate () =
   Alcotest.(check int) "dropped after write" (-1)
     (Interp.Ops.Qcache.position q v)
 
+(* ---- read→merge fusion -------------------------------------------- *)
+
+(* One subarray, one tile: write the stored rows, search, read, merge.
+   [between] goes between the read and the merge; [tail] after the
+   merge. *)
+let tile_src ~between ~tail =
+  Printf.sprintf
+    {|func @f(%%0: memref<2x32xf32>, %%1: memref<32x32xf32>,
+         %%2: memref<2x32xf32>) -> (memref<2x32xf32>) {
+  %%3 = "memref.alloc"() : () -> memref<2x32xf32>
+  %%4 = "arith.constant"() {value = 0} : () -> index
+  %%5 = "cam.alloc_bank"() {rows = 32, cols = 32} : () -> !cam.bank_id
+  %%6 = "cam.alloc_mat"(%%5) : (!cam.bank_id) -> !cam.mat_id
+  %%7 = "cam.alloc_array"(%%6) : (!cam.mat_id) -> !cam.array_id
+  %%8 = "cam.alloc_subarray"(%%7) : (!cam.array_id) -> !cam.subarray_id
+  "cam.write_value"(%%8, %%1, %%4)
+    : (!cam.subarray_id, memref<32x32xf32>, index) -> ()
+  "cam.search"(%%8, %%0, %%4) {kind = #best, metric = #hamming, rows = 32}
+    : (!cam.subarray_id, memref<2x32xf32>, index) -> ()
+  %%9 = "cam.read"(%%8) {queries = 2, rows = 32} : (!cam.subarray_id) -> memref<2x32xf32>
+%s  "cam.merge_partial"(%%3, %%9) {direction = #horizontal, kind = #add}
+    : (memref<2x32xf32>, memref<2x32xf32>) -> ()
+%s  "func.return"(%%3) : (memref<2x32xf32>) -> ()
+}
+|}
+    between tail
+
+let test_read_merge_fusion () =
+  let rng = Rng.create 5 in
+  let bits n =
+    Array.init n (fun _ -> Array.init 32 (fun _ -> float (Rng.int rng 2)))
+  in
+  let queries = bits 2 and stored = bits 32 and other = bits 2 in
+  let second_search =
+    {|  "cam.search"(%8, %2, %4) {kind = #best, metric = #hamming, rows = 32}
+    : (!cam.subarray_id, memref<2x32xf32>, index) -> ()
+|}
+  and second_merge =
+    {|  "cam.merge_partial"(%3, %9) {direction = #horizontal, kind = #add}
+    : (memref<2x32xf32>, memref<2x32xf32>) -> ()
+|}
+  in
+  List.iter
+    (fun (what, between, tail, fused) ->
+      let m = Parser.parse_module (tile_src ~between ~tail) in
+      Alcotest.(check int) (what ^ ": fused reads") fused
+        (Interp.Compile.fused_reads (Func_ir.find_func_exn m "f"));
+      let run ~precompile =
+        let sim = Camsim.Simulator.create Tutil.spec32 in
+        let args =
+          List.map
+            (fun rows -> Interp.Rtval.Buffer (Interp.Rtval.buffer_of_rows rows))
+            [ queries; stored; other ]
+        in
+        let o = Interp.Machine.run ~sim ~precompile m "f" args in
+        (o, Camsim.Simulator.stats sim)
+      in
+      let tree, tree_stats = run ~precompile:false in
+      let comp, comp_stats = run ~precompile:true in
+      check_outcome what tree comp;
+      if tree_stats <> comp_stats then
+        Alcotest.failf "%s: simulator stats differ" what)
+    [
+      ("one use", "", "", 1);
+      ("two uses", "", second_merge, 0);
+      (* a search between them relatches the subarray: the merge must
+         see the rows the read copied, not the new latch *)
+      ("search in between", second_search, "", 0);
+    ]
+
 let () =
   Alcotest.run "compile"
     [
@@ -381,6 +451,8 @@ let () =
           Alcotest.test_case "failure parity" `Quick test_failure_parity;
           Alcotest.test_case "dead malformed op stays silent" `Quick
             test_dead_malformed_op_silent;
+          Alcotest.test_case "read-merge fusion" `Quick
+            test_read_merge_fusion;
         ] );
       ( "slots",
         [

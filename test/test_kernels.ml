@@ -108,6 +108,64 @@ let prop_threshold_kernels =
       in
       bin && nib)
 
+(* ---- every binary width, deterministically ------------------------------ *)
+
+(* The binary window fill inlines its kernel, specialised for one
+   payload word (cols <= 32) and two (cols <= 64), with the general
+   flat loop above that. Every width from 1 to 130 — each word
+   boundary and both sides of it — must give the scalar kernel's
+   distances ([`Generic] cap, i.e. hamming_row) and a naive count, on
+   full and offset windows, through the domain's fallback pack slot
+   and through a caller-owned pack record that is refreshed when the
+   batch changes. A random width sample can miss one specialisation. *)
+let test_binary_widths () =
+  let rng = Rng.create 41 in
+  let bits n cols =
+    Array.init n (fun _ -> Array.init cols (fun _ -> float (Rng.int rng 2)))
+  in
+  for cols = 1 to 130 do
+    let n_rows = 40 in
+    let sub = S.create ~rows:n_rows ~cols ~bits:1 in
+    let stored = bits n_rows cols in
+    S.write sub stored;
+    let packs = Camsim.Scratch.create_packs () in
+    List.iter
+      (fun (row_offset, rows) ->
+        (* two batches through the same pack record: the second must
+           not be scored with the first one's packs *)
+        List.iter
+          (fun queries ->
+            let what =
+              Printf.sprintf "cols %d window [%d, %d)" cols row_offset
+                (row_offset + rows)
+            in
+            let naive =
+              Array.map
+                (fun q ->
+                  Array.init rows (fun i ->
+                      float (scalar_hamming q stored.(row_offset + i))))
+                queries
+            in
+            let scalar =
+              S.with_kernel_cap sub `Generic (fun () ->
+                  S.search sub ~queries ~row_offset ~rows ~metric:`Hamming)
+            in
+            check_exact (what ^ " scalar") naive scalar;
+            let stats = Camsim.Stats.create () in
+            let slot =
+              S.search ~stats sub ~queries ~row_offset ~rows ~metric:`Hamming
+            in
+            check_exact (what ^ " fallback slot") naive slot;
+            Alcotest.(check int) (what ^ " binary tier")
+              (Array.length queries * rows) stats.n_kernel_binary;
+            let owned =
+              S.search ~packs sub ~queries ~row_offset ~rows ~metric:`Hamming
+            in
+            check_exact (what ^ " owned packs") naive owned)
+          [ bits 5 cols; bits 5 cols ])
+      [ (0, n_rows); (3, 17) ]
+  done
+
 (* ---- write-time classification ---------------------------------------- *)
 
 let test_classification () =
@@ -351,6 +409,8 @@ let () =
           Alcotest.test_case "rewrite differential (reclassification)"
             `Quick test_rewrite_differential;
           Alcotest.test_case "executors agree" `Quick test_executors_agree;
+          Alcotest.test_case "binary kernel at every width 1..130" `Quick
+            test_binary_widths;
         ] );
       ( "stats",
         [

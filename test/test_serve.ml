@@ -201,6 +201,151 @@ let test_update_stored () =
   let stats = Camsim.Simulator.stats (Session.simulator session) in
   Alcotest.(check int) "unchanged rows cost nothing" 2 stats.n_write_ops
 
+(* ---- replay write generations ------------------------------------------ *)
+
+(* A replayed write skips comparing a stored window whose rows nobody
+   wrote since its last compare (Camsim.Writegen). Every writer must
+   therefore advance the generations. Mutate through
+   [Session.update_stored] and through an IR [memref.store] into the
+   stored operand; the results must match a fresh run over the mutated
+   rows, and the write ledger must match a twin whose every replay
+   compares every window. *)
+let test_replay_generations () =
+  let q = 4 and dims = 96 and classes = 64 in
+  let data = hdc_data ~q ~dims ~classes () in
+  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let make () =
+    Session.create ~config:(config_for `Compiled) ~spec ~stored:data.stored
+      src
+  in
+  let s = make () and twin = make () in
+  let stored = Array.map Array.copy data.stored in
+  let check_step what =
+    (* clearing the twin's cache counts every tracked row as written *)
+    Interp.Ops.Qcache.clear (Session.qcache twin);
+    let r = Session.query s data.queries in
+    let rt = Session.query twin data.queries in
+    let fresh =
+      C4cam.Driver.run_cam (C4cam.Driver.compile ~spec src)
+        ~queries:data.queries ~stored
+    in
+    Alcotest.(check Tutil.rows_testable) (what ^ ": values") fresh.values
+      r.values;
+    Alcotest.(check Tutil.int_rows_testable) (what ^ ": indices")
+      fresh.indices r.indices;
+    Alcotest.(check Tutil.rows_testable) (what ^ ": twin values") rt.values
+      r.values;
+    let a = Camsim.Simulator.stats (Session.simulator s)
+    and b = Camsim.Simulator.stats (Session.simulator twin) in
+    Alcotest.(check int) (what ^ ": write ops") b.n_write_ops a.n_write_ops;
+    if a.e_write <> b.e_write then
+      Alcotest.failf "%s: e_write %.17g vs twin %.17g" what a.e_write
+        b.e_write;
+    a.n_write_ops
+  in
+  let update row values =
+    stored.(row) <- values;
+    Session.update_stored s ~row values;
+    Session.update_stored twin ~row values
+  in
+  let flipped row = Array.map (fun v -> 1. -. v) stored.(row) in
+  let w0 = check_step "setup" in
+  let w1 = check_step "steady" in
+  Alcotest.(check int) "steady batch writes nothing" w0 w1;
+  update 5 (flipped 5);
+  let w2 = check_step "row 5 flipped" in
+  (* 96 dims over 32-column subarrays: one row spans 3 windows *)
+  Alcotest.(check int) "one row rewritten in each of its 3 windows" (w1 + 3)
+    w2;
+  update 35 (Array.copy stored.(35));
+  let w3 = check_step "row 35 rewritten unchanged" in
+  Alcotest.(check int) "unchanged contents cost nothing" w2 w3;
+  update 35 (flipped 35);
+  update 6 (flipped 6);
+  ignore (check_step "rows 6 and 35 flipped");
+  (* an IR store into the stored operand is a writer the session never
+     sees: the interpreter reports it through the query-row cache *)
+  let m =
+    Ir.Parser.parse_module
+      {|func @f(%0: memref<2x32xf32>, %1: memref<32x32xf32>, %2: index,
+         %3: f32) -> (memref<2x32xf32>) {
+  %4 = "arith.constant"() {value = 0} : () -> index
+  "memref.store"(%3, %1, %2, %4)
+    : (f32, memref<32x32xf32>, index, index) -> ()
+  %5 = "memref.alloc"() : () -> memref<2x32xf32>
+  %6 = "cam.alloc_bank"() {rows = 32, cols = 32} : () -> !cam.bank_id
+  %7 = "cam.alloc_mat"(%6) : (!cam.bank_id) -> !cam.mat_id
+  %8 = "cam.alloc_array"(%7) : (!cam.mat_id) -> !cam.array_id
+  %9 = "cam.alloc_subarray"(%8) : (!cam.array_id) -> !cam.subarray_id
+  "cam.write_value"(%9, %1, %4)
+    : (!cam.subarray_id, memref<32x32xf32>, index) -> ()
+  "cam.search"(%9, %0, %4) {kind = #best, metric = #hamming, rows = 32}
+    : (!cam.subarray_id, memref<2x32xf32>, index) -> ()
+  %10 = "cam.read"(%9) {queries = 2, rows = 32}
+    : (!cam.subarray_id) -> memref<2x32xf32>
+  "cam.merge_partial"(%5, %10) {direction = #horizontal, kind = #add}
+    : (memref<2x32xf32>, memref<2x32xf32>) -> ()
+  "func.return"(%5) : (memref<2x32xf32>) -> ()
+}
+|}
+  in
+  let rng = Rng.create 9 in
+  let bits n =
+    Array.init n (fun _ -> Array.init 32 (fun _ -> float (Rng.int rng 2)))
+  in
+  let queries = Interp.Rtval.Buffer (Interp.Rtval.buffer_of_rows (bits 2)) in
+  let rows0 = bits 32 in
+  (* [tracked] keeps generations of its stored backing; [plain] does not
+     and compares every replay *)
+  let side ~tracked =
+    let sim = Camsim.Simulator.create spec in
+    Camsim.Simulator.start_recording sim;
+    let buf = Interp.Rtval.buffer_of_rows rows0 in
+    let qcache = Interp.Ops.Qcache.create () in
+    if tracked then
+      Interp.Ops.Qcache.track qcache buf.Interp.Rtval.b_data ~row_len:32;
+    (sim, buf, qcache)
+  in
+  let a = side ~tracked:true and b = side ~tracked:false in
+  let run (sim, buf, qcache) ~first row value =
+    if not first then Camsim.Simulator.rewind sim;
+    let o =
+      Interp.Machine.run ~sim ~qcache m "f"
+        [ queries; Interp.Rtval.Buffer buf; Interp.Rtval.Index row;
+          Interp.Rtval.Scalar value ]
+    in
+    if first then Camsim.Simulator.seal_recording sim;
+    match o.Interp.Machine.results with
+    | [ Interp.Rtval.Buffer r ] -> Interp.Rtval.buffer_rows r
+    | _ -> Alcotest.fail "expected one buffer result"
+  in
+  let current = Array.map Array.copy rows0 in
+  List.iteri
+    (fun i (row, flip) ->
+      let value = if flip then 1. -. current.(row).(0) else current.(row).(0) in
+      current.(row).(0) <- value;
+      let what = Printf.sprintf "store %d (row %d, flip %b)" i row flip in
+      let ra = run a ~first:(i = 0) row value
+      and rb = run b ~first:(i = 0) row value in
+      Alcotest.(check Tutil.rows_testable) (what ^ ": vs untracked") rb ra;
+      let (sa, _, _) = a and (sb, _, _) = b in
+      if Camsim.Simulator.stats sa <> Camsim.Simulator.stats sb then
+        Alcotest.failf "%s: simulator ledger differs from untracked" what;
+      (* and the distances are those of a fresh one-shot run *)
+      let fresh = Camsim.Simulator.create spec in
+      let fbuf = Interp.Rtval.buffer_of_rows current in
+      let o =
+        Interp.Machine.run ~sim:fresh m "f"
+          [ queries; Interp.Rtval.Buffer fbuf; Interp.Rtval.Index row;
+            Interp.Rtval.Scalar value ]
+      in
+      match o.Interp.Machine.results with
+      | [ Interp.Rtval.Buffer r ] ->
+          Alcotest.(check Tutil.rows_testable) (what ^ ": vs fresh")
+            (Interp.Rtval.buffer_rows r) ra
+      | _ -> Alcotest.fail "expected one buffer result")
+    [ (0, false); (0, false); (5, true); (5, false); (31, true); (31, true) ]
+
 (* ---- update_stored reclassification across the jobs x engine matrix ---- *)
 
 (* Replacing pinned rows with rows of a different kernel class (binary
@@ -431,6 +576,8 @@ let () =
           Alcotest.test_case "write energy charged once" `Quick
             test_write_energy_once;
           Alcotest.test_case "update_stored" `Quick test_update_stored;
+          Alcotest.test_case "replay write generations" `Quick
+            test_replay_generations;
           Alcotest.test_case "update_stored reclassification matrix"
             `Quick test_update_reclassification_matrix;
           Alcotest.test_case "steady-state GC pressure" `Quick

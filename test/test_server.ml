@@ -188,6 +188,57 @@ let test_backpressure_block () =
   Alcotest.(check int) "none dropped" 10
     (Server.stats server).Server.requests_served
 
+(* A caller that paused the server (here: created it under
+   [start_paused]) and then fills the queue past its cap under [`Block]
+   would wait for room that only its own [resume] can make. [submit]
+   must raise [Paused_full] instead. The scenario runs on its own
+   domain under a watchdog, so a regression fails the test instead of
+   hanging the suite. *)
+let test_paused_full () =
+  let q = 4 and dims = 32 and classes = 8 in
+  let data = hdc_data ~q:8 ~dims ~classes () in
+  let src = C4cam.Kernels.hdc_dot ~q ~dims ~classes ~k:1 in
+  let row i = [| data.queries.(i mod 8) |] in
+  let server_cell = Atomic.make None and outcome = Atomic.make None in
+  let worker =
+    Domain.spawn (fun () ->
+        let server =
+          Server.create
+            ~config:
+              { Server.default_config with queue_cap = 4; start_paused = true }
+            (Session.create ~config:(config_for `Compiled) ~spec
+               ~stored:data.stored src)
+        in
+        Atomic.set server_cell (Some server);
+        let c = Server.connect server in
+        let tickets = List.init 4 (fun i -> Server.submit c (row i)) in
+        Atomic.set outcome
+          (Some
+             (match Server.submit c (row 4) with
+             | _ -> `Enqueued
+             | exception Server.Paused_full -> `Raised));
+        (* the refused request was not enqueued: resume and submit it
+           again, blocking for room as usual *)
+        Server.resume server;
+        let last = Server.submit c (row 4) in
+        List.iter (fun tk -> ignore (Server.await tk)) (tickets @ [ last ]);
+        Server.stop server;
+        (Server.stats server).Server.requests_served)
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Atomic.get outcome = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  (match Atomic.get outcome with
+  | Some `Raised -> ()
+  | Some `Enqueued ->
+      Alcotest.fail "submit past the cap of a paused server enqueued"
+  | None ->
+      (* free the blocked submitter so the domain can be joined *)
+      Option.iter Server.resume (Atomic.get server_cell);
+      Alcotest.fail "submit to its own paused, full server blocked");
+  Alcotest.(check int) "five requests served" 5 (Domain.join worker)
+
 (* ---- shutdown ---------------------------------------------------------- *)
 
 let test_stop () =
@@ -379,6 +430,8 @@ let () =
             test_backpressure_fail_fast;
           Alcotest.test_case "blocking backpressure" `Quick
             test_backpressure_block;
+          Alcotest.test_case "paused and full raises" `Quick
+            test_paused_full;
           Alcotest.test_case "stop drains and rejects" `Quick test_stop;
           Alcotest.test_case "malformed requests" `Quick test_bad_requests;
         ] );
